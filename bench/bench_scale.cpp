@@ -7,13 +7,31 @@
 //   bench_scale [--max-routers N] [--baseline-max N] [--pipeline-max N]
 //               [--jobs N] [--families LIST] [--out FILE]
 //
-// Writes BENCH_scale.json (schema confmask.bench-scale/1). Sizes above the
+// --families takes comma-separated name prefixes (default: all four).
+//
+// Writes BENCH_scale.json (schema confmask.bench-scale/2). Sizes above the
 // caps are skipped and logged, never silently dropped: --baseline-max
 // (default 3162) bounds the old engine, whose eager R×R IGP matrix costs
 // O(R²) memory (~800 MB at 10⁴); --pipeline-max (default 316) bounds the
-// full anonymization pipeline. Wherever the baseline does run, every FIB
-// column must be bit-identical between the engines — any mismatch makes
-// the exit status nonzero, so the sweep doubles as a correctness gate.
+// full anonymization pipeline. The pipeline holds no R×R table (IGP rows
+// are lazy, DESIGN.md §13), so raising --pipeline-max to 3162 is cheap
+// enough for CI, which gates pipeline_s / fresh_sim_s there.
+//
+// Each pipeline point runs in a child process (this binary re-executed
+// with --pipeline-point FAMILY ROUTERS REPETITIONS) that builds the
+// network and runs the pipeline; the row records the child's verdict
+// (verified, or the error category it refused with), its best-of-N wall
+// time and phase spans, and its peak RSS (the child's own VmHWM, which
+// covers network generation plus the pipeline runs). A fresh process per
+// point keeps one point's high-water mark (e.g. the baseline engine's
+// matrix) out of the next. A refusal is data, not a failure:
+// only a child that dies or prints no result makes the exit nonzero.
+// Wherever the baseline does run, every FIB column must be bit-identical
+// between the engines — any mismatch makes the exit status nonzero, so
+// the sweep doubles as a correctness gate.
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -23,6 +41,7 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "src/core/errors.hpp"
 #include "src/core/filters.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/netgen/scale_families.hpp"
@@ -80,6 +99,179 @@ bool fibs_identical(const Simulation& fast, const BaselineSimulation& base) {
 
 std::string json_number(double value) { return std::to_string(value); }
 
+/// This process's peak resident set (VmHWM) in MB, -1 if unavailable.
+/// Unlike getrusage/wait4's ru_maxrss, which a fork+exec child inherits
+/// from the parent's address space before exec, VmHWM covers only the
+/// current image.
+double peak_rss_mb() {
+  std::FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return -1.0;
+  char line[256];
+  double mb = -1.0;
+  while (std::fgets(line, sizeof line, status) != nullptr) {
+    long kib = 0;
+    if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1) {
+      mb = static_cast<double>(kib) / 1024.0;
+      break;
+    }
+  }
+  std::fclose(status);
+  return mb;
+}
+
+struct FamilySpec {
+  ScaleFamily family;
+  const char* name;
+};
+constexpr FamilySpec kAllFamilies[] = {
+    {ScaleFamily::kWaxman, "waxman-ospf"},
+    {ScaleFamily::kWaxmanRip, "waxman-rip"},
+    {ScaleFamily::kMultiAs, "multi-as"},
+    {ScaleFamily::kPreferentialAttachment, "pref-attach"},
+};
+
+/// The decorated network of one sweep point (same bytes in parent and
+/// pipeline child).
+ConfigSet point_network(ScaleFamily family, int routers) {
+  const std::uint64_t seed = 0x5CA1Eull + static_cast<std::uint64_t>(routers);
+  ConfigSet configs = make_scale_network(family, routers, seed);
+  decorate_scale_network(configs, seed);
+  return configs;
+}
+
+/// Child side of a pipeline point: best-of-`repetitions` pipeline wall time
+/// with the phase spans of the fastest run, and the (seeded, so
+/// repeatable) verdict. Prints one line:
+/// `<verified 0|1> <category|-> <seconds> <peak RSS MB> <phases JSON>`.
+int run_pipeline_point(const char* family_name, int routers,
+                       int repetitions) {
+  const FamilySpec* spec = nullptr;
+  for (const auto& candidate : kAllFamilies) {
+    if (std::string(candidate.name) == family_name) spec = &candidate;
+  }
+  if (spec == nullptr || routers < 2 || repetitions < 1) return 2;
+  const ConfigSet configs = point_network(spec->family, routers);
+  bool verified = false;
+  std::string category;
+  double best = 1e30;
+  std::string phases = "null";
+  for (int rep = 0; rep < repetitions; ++rep) {
+    PipelineTrace trace;
+    const auto start = std::chrono::steady_clock::now();
+    bool threw = false;
+    try {
+      const auto outcome = run_confmask(configs, bench::default_options());
+      verified =
+          outcome.equivalence_converged && outcome.functionally_equivalent;
+    } catch (const PipelineError& error) {
+      category = to_string(error.category());
+      threw = true;
+    } catch (const std::exception&) {
+      category = to_string(ErrorCategory::kInternal);
+      threw = true;
+    }
+    const double seconds = seconds_since(start);
+    if (seconds < best) {
+      best = seconds;
+      phases = "{";
+      bool first_phase = true;
+      for (const auto& span : trace.metrics()) {
+        if (span.path.find('/') != std::string::npos) continue;
+        phases += std::string(first_phase ? "" : ", ") + "\"" + span.path +
+                  "\": " +
+                  json_number(static_cast<double>(span.total_ns) * 1e-9);
+        first_phase = false;
+      }
+      phases += "}";
+    }
+    if (threw) break;  // seeded and deterministic: it would throw again
+  }
+  // The guarded runner's category for an unconverged or diverged run.
+  if (!verified && category.empty()) {
+    category = to_string(ErrorCategory::kNonConvergent);
+  }
+  std::printf("%d %s %.9f %.3f %s\n", verified ? 1 : 0,
+              category.empty() ? "-" : category.c_str(), best, peak_rss_mb(),
+              phases.c_str());
+  return 0;
+}
+
+struct PipelinePoint {
+  bool ok = false;  ///< the child printed a result
+  bool verified = false;
+  std::string category;  ///< empty when verified
+  double seconds = -1.0;
+  double peak_rss_mb = -1.0;
+  std::string phases = "null";
+};
+
+/// Parent side: re-executes this binary for one pipeline point and reads
+/// its result line.
+PipelinePoint measure_pipeline_point(const char* family_name, int routers,
+                                     int repetitions) {
+  PipelinePoint point;
+  const std::string routers_arg = std::to_string(routers);
+  const std::string reps_arg = std::to_string(repetitions);
+  const std::string jobs_arg = std::to_string(ThreadPool::shared().workers());
+  // Everything the child needs is built before fork(): between fork and
+  // exec only async-signal-safe calls are allowed (the pool's threads are
+  // not copied into the child).
+  std::vector<char*> child_argv = {
+      const_cast<char*>("bench_scale"),
+      const_cast<char*>("--jobs"),
+      const_cast<char*>(jobs_arg.c_str()),
+      const_cast<char*>("--pipeline-point"),
+      const_cast<char*>(family_name),
+      const_cast<char*>(routers_arg.c_str()),
+      const_cast<char*>(reps_arg.c_str()),
+      nullptr};
+  int fds[2];
+  if (pipe(fds) != 0) return point;
+  std::fflush(stdout);
+  const pid_t pid = fork();
+  if (pid < 0) {
+    close(fds[0]);
+    close(fds[1]);
+    return point;
+  }
+  if (pid == 0) {
+    dup2(fds[1], STDOUT_FILENO);
+    close(fds[0]);
+    close(fds[1]);
+    execv("/proc/self/exe", child_argv.data());
+    _exit(127);
+  }
+  close(fds[1]);
+  std::string line;
+  char buffer[4096];
+  ssize_t got = 0;
+  while ((got = read(fds[0], buffer, sizeof buffer)) > 0) {
+    line.append(buffer, static_cast<std::size_t>(got));
+  }
+  close(fds[0]);
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status) ||
+      WEXITSTATUS(status) != 0) {
+    return point;
+  }
+  char category[64] = {};
+  int verified = 0;
+  int consumed = 0;
+  if (std::sscanf(line.c_str(), "%d %63s %lf %lf %n", &verified, category,
+                  &point.seconds, &point.peak_rss_mb, &consumed) != 4 ||
+      consumed == 0) {
+    return point;
+  }
+  point.ok = true;
+  point.verified = verified != 0;
+  if (std::string(category) != "-") point.category = category;
+  point.phases = line.substr(static_cast<std::size_t>(consumed));
+  while (!point.phases.empty() && point.phases.back() == '\n') {
+    point.phases.pop_back();
+  }
+  return point;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -92,6 +284,11 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--pipeline-point" && i + 3 < argc) {
+      if (jobs > 0) ThreadPool::configure(jobs);
+      return run_pipeline_point(argv[i + 1], std::atoi(argv[i + 2]),
+                                std::atoi(argv[i + 3]));
+    }
     const auto value = [&]() -> const char* {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
@@ -115,20 +312,20 @@ int main(int argc, char** argv) {
   if (max_routers < 2) usage(argv[0]);
   if (jobs > 0) ThreadPool::configure(jobs);
 
-  struct FamilySpec {
-    ScaleFamily family;
-    const char* name;
-  };
-  const FamilySpec all_families[] = {
-      {ScaleFamily::kWaxman, "waxman-ospf"},
-      {ScaleFamily::kWaxmanRip, "waxman-rip"},
-      {ScaleFamily::kMultiAs, "multi-as"},
-      {ScaleFamily::kPreferentialAttachment, "pref-attach"},
-  };
+  // Each comma-separated item selects the families whose name it
+  // prefixes ("waxman" = waxman-ospf and waxman-rip).
   std::vector<FamilySpec> families;
-  for (const auto& spec : all_families) {
-    if (families_arg.find(spec.name) != std::string::npos) {
-      families.push_back(spec);
+  for (const auto& spec : kAllFamilies) {
+    std::size_t begin = 0;
+    while (begin <= families_arg.size()) {
+      const std::size_t end =
+          std::min(families_arg.find(',', begin), families_arg.size());
+      const std::string item = families_arg.substr(begin, end - begin);
+      if (!item.empty() && std::string(spec.name).rfind(item, 0) == 0) {
+        families.push_back(spec);
+        break;
+      }
+      begin = end + 1;
     }
   }
   if (families.empty()) usage(argv[0]);
@@ -143,14 +340,16 @@ int main(int argc, char** argv) {
               ThreadPool::shared().workers(),
               std::thread::hardware_concurrency(), max_routers, baseline_max,
               pipeline_max);
-  std::printf("%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s\n",
+  std::printf("%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s | "
+              "%8s %7s %s\n",
               "family", "R", "hosts", "links", "topo (s)", "flat (s)",
               "base (s)", "speedup", "fib=", "inc (s)", "full (s)",
-              "inc/fl");
+              "inc/fl", "pipe (s)", "rss MB", "verdict");
 
   bool all_fibs_identical = true;
+  bool all_points_ran = true;
   std::string json =
-      std::string("{\n  \"schema\": \"confmask.bench-scale/1\",\n") +
+      std::string("{\n  \"schema\": \"confmask.bench-scale/2\",\n") +
       "  \"jobs\": " + std::to_string(ThreadPool::shared().workers()) +
       ",\n  \"hardware_concurrency\": " +
       std::to_string(std::thread::hardware_concurrency()) +
@@ -167,11 +366,8 @@ int main(int argc, char** argv) {
                     routers, max_routers);
         continue;
       }
-      const std::uint64_t seed = 0x5CA1Eull + static_cast<std::uint64_t>(
-                                                  routers);
-      ConfigSet configs = make_scale_network(spec.family, routers, seed);
-      decorate_scale_network(configs, seed);
-      const int repetitions = routers <= 1000 ? 3 : 1;
+      const ConfigSet configs = point_network(spec.family, routers);
+      const int repetitions = routers <= 3162 ? 3 : 1;
 
       const double topo_s =
           min_time(repetitions, [&] { Topology::build(configs); });
@@ -218,33 +414,29 @@ int main(int argc, char** argv) {
         full_s = min_time(repetitions, [&] { Simulation fresh(edited); });
       }
 
-      // Full pipeline with per-phase span metrics, on affordable sizes.
-      double pipeline_s = -1.0;
-      std::string phases = "null";
+      // Full pipeline with per-phase span metrics, on affordable sizes, in
+      // a child process so its peak RSS is its own.
+      PipelinePoint pipeline;
       if (routers <= pipeline_max) {
-        PipelineTrace trace;
-        const auto start = std::chrono::steady_clock::now();
-        const auto outcome = run_confmask(configs, bench::default_options());
-        pipeline_s = seconds_since(start);
-        (void)outcome;
-        phases = "{";
-        bool first_phase = true;
-        for (const auto& span : trace.metrics()) {
-          if (span.path.find('/') != std::string::npos) continue;
-          phases += std::string(first_phase ? "" : ", ") + "\"" + span.path +
-                    "\": " +
-                    json_number(static_cast<double>(span.total_ns) * 1e-9);
-          first_phase = false;
+        pipeline = measure_pipeline_point(spec.name, routers, repetitions);
+        if (!pipeline.ok) {
+          std::fprintf(stderr, "%s R=%d: pipeline child produced no result\n",
+                       spec.name, routers);
+          all_points_ran = false;
         }
-        phases += "}";
       } else {
         std::printf("%-12s %6d  -- pipeline skipped (--pipeline-max %d)\n",
                     spec.name, routers, pipeline_max);
       }
 
       const double speedup = baseline_ran ? base_s / flat_s : -1.0;
+      const std::string verdict =
+          !pipeline.ok ? "--"
+          : pipeline.verified ? "verified"
+                              : "refused:" + pipeline.category;
       std::printf(
-          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s\n",
+          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s | "
+          "%8s %7s %s\n",
           spec.name, routers, hosts, links, topo_s, flat_s,
           baseline_ran ? json_number(base_s).substr(0, 8).c_str() : "--",
           baseline_ran ? (json_number(speedup).substr(0, 6) + "x").c_str()
@@ -256,7 +448,12 @@ int main(int argc, char** argv) {
           (incremental_s > 0 && full_s > 0)
               ? (json_number(full_s / incremental_s).substr(0, 5) + "x")
                     .c_str()
-              : "--");
+              : "--",
+          pipeline.ok ? json_number(pipeline.seconds).substr(0, 8).c_str()
+                      : "--",
+          pipeline.ok ? json_number(pipeline.peak_rss_mb).substr(0, 7).c_str()
+                      : "--",
+          verdict.c_str());
       bench::csv("scale," + std::string(spec.name) + "," +
                  std::to_string(routers) + "," + json_number(flat_s) + "," +
                  (baseline_ran ? json_number(base_s) : "") + "," +
@@ -280,8 +477,17 @@ int main(int argc, char** argv) {
               ", \"full_resim_s\": " +
               (full_s >= 0 ? json_number(full_s) : "null") +
               ", \"pipeline_s\": " +
-              (pipeline_s >= 0 ? json_number(pipeline_s) : "null") +
-              ", \"pipeline_phases_s\": " + phases + "}";
+              (pipeline.ok ? json_number(pipeline.seconds) : "null") +
+              ", \"pipeline_verified\": " +
+              (pipeline.ok ? (pipeline.verified ? "true" : "false")
+                           : "null") +
+              ", \"pipeline_category\": " +
+              (pipeline.ok && !pipeline.verified
+                   ? "\"" + pipeline.category + "\""
+                   : "null") +
+              ", \"pipeline_peak_rss_mb\": " +
+              (pipeline.ok ? json_number(pipeline.peak_rss_mb) : "null") +
+              ", \"pipeline_phases_s\": " + pipeline.phases + "}";
       first = false;
     }
   }
@@ -299,6 +505,10 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "FIB MISMATCH: flat engine diverged from the pre-refactor "
                  "baseline\n");
+    return 1;
+  }
+  if (!all_points_ran) {
+    std::fprintf(stderr, "a pipeline child failed (see above)\n");
     return 1;
   }
   return 0;

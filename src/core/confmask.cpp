@@ -81,8 +81,11 @@ PipelineResult run_pipeline(const ConfigSet& original,
   // only the dirty destinations re-derived (original_index.hpp).
   OriginalReusePlan reuse_plan;
   auto preprocess_span = PipelineTrace::begin("preprocess");
-  const OriginalIndex index =
-      run_stage(PipelineStage::kPreprocess, [&]() -> OriginalIndex {
+  // Built once behind a shared pointer: a watch capture keeps the very
+  // same index instead of deep-copying its FIB map and data plane.
+  const std::shared_ptr<const OriginalIndex> index_ptr = run_stage(
+      PipelineStage::kPreprocess,
+      [&]() -> std::shared_ptr<const OriginalIndex> {
         std::shared_ptr<const Simulation> sim;
         if (patch_base != nullptr) {
           reuse_plan = plan_original_reuse(original, *patch_base);
@@ -102,13 +105,13 @@ PipelineResult run_pipeline(const ConfigSet& original,
         }
         if (seeded && reuse_plan.index_reusable &&
             patch_base->index != nullptr) {
-          return OriginalIndex(*sim, *patch_base->index, reuse_plan.dirty);
+          return std::make_shared<const OriginalIndex>(
+              *sim, *patch_base->index, reuse_plan.dirty);
         }
-        return OriginalIndex(*sim);
+        return std::make_shared<const OriginalIndex>(*sim);
       });
-  if (patch_capture != nullptr) {
-    patch_capture->index = std::make_shared<const OriginalIndex>(index);
-  }
+  const OriginalIndex& index = *index_ptr;
+  if (patch_capture != nullptr) patch_capture->index = index_ptr;
   result.original_dp = index.data_plane();
   if (preprocess_span) {
     preprocess_span.add("routers", original.routers.size());

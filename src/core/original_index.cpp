@@ -4,7 +4,8 @@
 
 namespace confmask {
 
-OriginalIndex::OriginalIndex(const Simulation& sim) {
+OriginalIndex::OriginalIndex(const Simulation& sim)
+    : igp_(sim.igp_distances()) {
   const Topology& topo = sim.topology();
 
   for (int r = 0; r < topo.router_count(); ++r) {
@@ -32,18 +33,6 @@ OriginalIndex::OriginalIndex(const Simulation& sim) {
   }
 
   data_plane_ = sim.extract_data_plane();
-
-  const int n = topo.router_count();
-  igp_dist_.assign(static_cast<std::size_t>(n),
-                   std::vector<long>(static_cast<std::size_t>(n), -1));
-  sim.igp_matrix();  // bulk-fills all rows in parallel; igp_distance() below
-                     // then reads memoized rows lock-free
-  for (int a = 0; a < n; ++a) {
-    for (int b = 0; b < n; ++b) {
-      igp_dist_[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-          sim.igp_distance(a, b);
-    }
-  }
 }
 
 OriginalIndex::OriginalIndex(const Simulation& sim,
@@ -55,7 +44,7 @@ OriginalIndex::OriginalIndex(const Simulation& sim,
       real_hosts_(previous.real_hosts_),
       routers_(previous.routers_),
       router_index_(previous.router_index_),
-      igp_dist_(previous.igp_dist_) {
+      igp_(previous.igp_) {
   const Topology& topo = sim.topology();
 
   std::vector<int> dirty_hosts;
@@ -118,8 +107,7 @@ long OriginalIndex::igp_distance(const std::string& a,
   const auto ia = router_index_.find(a);
   const auto ib = router_index_.find(b);
   if (ia == router_index_.end() || ib == router_index_.end()) return -1;
-  return igp_dist_[static_cast<std::size_t>(ia->second)]
-                  [static_cast<std::size_t>(ib->second)];
+  return igp_.distance(ia->second, ib->second);
 }
 
 }  // namespace confmask

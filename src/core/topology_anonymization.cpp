@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "src/graph/k_degree_anonymize.hpp"
-#include "src/routing/simulation.hpp"
+#include "src/routing/flat_topology.hpp"
+#include "src/routing/igp_distances.hpp"
 #include "src/routing/topology.hpp"
 
 namespace confmask {
@@ -94,27 +96,16 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs, int k_r,
   // after the node-addition extension, configs contains fake routers the
   // preprocessing index knows nothing about (and for original routers the
   // two distance notions coincide because node addition never shortens
-  // paths).
-  std::vector<std::vector<long>> igp;
+  // paths). The flat view snapshots the pre-link configs, so links
+  // materialized below never shift a later price; rows are computed only
+  // for the endpoints of the edges k-degree anonymization picks.
+  IgpDistances igp;
   if (policy == FakeLinkCostPolicy::kMinCost) {
-    const Simulation sim(configs);
-    const int rc = topo.router_count();
-    igp.assign(static_cast<std::size_t>(rc),
-               std::vector<long>(static_cast<std::size_t>(rc), -1));
-    sim.igp_matrix();  // one parallel fill instead of rc² lazy-row checks
-    for (int a = 0; a < rc; ++a) {
-      for (int b = 0; b < rc; ++b) {
-        igp[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-            sim.igp_distance(a, b);
-      }
-    }
+    igp = IgpDistances(std::make_shared<const FlatTopology>(
+        FlatTopology::build(topo, configs)));
   }
-  const auto min_cost_of = [&](const std::string& a, const std::string& b) {
-    if (igp.empty()) return -1L;
-    const int ia = topo.find_node(a);
-    const int ib = topo.find_node(b);
-    if (ia < 0 || ib < 0) return -1L;
-    return igp[static_cast<std::size_t>(ia)][static_cast<std::size_t>(ib)];
+  const auto min_cost_of = [&](int a, int b) {
+    return policy == FakeLinkCostPolicy::kMinCost ? igp.distance(a, b) : -1L;
   };
 
   // Group routers by AS (-1 == no BGP == one flat IGP domain).
@@ -144,12 +135,12 @@ TopologyAnonymizationOutcome anonymize_topology(ConfigSet& configs, int k_r,
     }
     const auto result = k_degree_anonymize(subgraph, k_r, rng);
     for (const auto& [u, v] : result.added_edges) {
-      const std::string& name_u =
-          topo.node(members[static_cast<std::size_t>(u)]).name;
-      const std::string& name_v =
-          topo.node(members[static_cast<std::size_t>(v)]).name;
+      const int node_u = members[static_cast<std::size_t>(u)];
+      const int node_v = members[static_cast<std::size_t>(v)];
+      const std::string& name_u = topo.node(node_u).name;
+      const std::string& name_v = topo.node(node_v).name;
       materialize_fake_link(configs, name_u, name_v, policy,
-                            min_cost_of(name_u, name_v), allocator,
+                            min_cost_of(node_u, node_v), allocator,
                             /*inter_as=*/false);
       outcome.intra_as_links.emplace_back(name_u, name_v);
     }

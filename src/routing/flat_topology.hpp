@@ -70,6 +70,11 @@ class FlatTopology {
   /// Builds the flat view. `topo` must have been built from `configs`.
   static FlatTopology build(const Topology& topo, const ConfigSet& configs);
 
+  /// Routers are node ids 0 .. router_count()-1, as in the Topology.
+  [[nodiscard]] int router_count() const {
+    return static_cast<int>(iface_base_.size()) - 1;
+  }
+
   // --- CSR half-edges (both directions of every link, hosts included) ---
   [[nodiscard]] std::int32_t first_out(int node) const {
     return offset_[static_cast<std::size_t>(node)];

@@ -98,6 +98,12 @@ ReferenceSimulation::ReferenceSimulation(const ConfigSet& configs)
   for (const int host : topology_.host_ids()) converge_destination(host);
 }
 
+long ReferenceSimulation::igp_distance(int from, int to) const {
+  const long d = igp_dist_[static_cast<std::size_t>(from)]
+                          [static_cast<std::size_t>(to)];
+  return d >= kUnreachable ? -1 : d;
+}
+
 const RouterConfig& ReferenceSimulation::router_config(int node) const {
   return configs_->routers[static_cast<std::size_t>(
       topology_.node(node).config_index)];

@@ -61,6 +61,11 @@ class ReferenceSimulation {
   /// (link, neighbor). Empty means no route.
   [[nodiscard]] const std::vector<Hop>& fib(int router, int host) const;
 
+  /// Intra-AS IGP distance from router `from` to router `to` (node ids),
+  /// or -1 when unreachable or cross-AS — the oracle for the fast
+  /// engine's lazy IgpDistances rows.
+  [[nodiscard]] long igp_distance(int from, int to) const;
+
   /// All complete forwarding paths between every ordered host pair, as
   /// device-name sequences — directly comparable to the fast engine's
   /// extraction via DataPlane::diff. Serial, no gateway sharing.
@@ -112,8 +117,8 @@ class ReferenceSimulation {
     int link = -1;
   };
   std::vector<BgpSession> sessions_;
-  // igp_dist_[r][r'] — intra-AS IGP distance (hot-potato metric), -1 when
-  // unreachable or cross-AS. Bellman-Ford, not Dijkstra.
+  // igp_dist_[r][r'] — intra-AS IGP distance (hot-potato metric),
+  // kUnreachable when unreachable or cross-AS. Bellman-Ford, not Dijkstra.
   std::vector<std::vector<long>> igp_dist_;
   // fib_[router * host_count + (host - router_count)]
   std::vector<std::vector<Hop>> fib_;

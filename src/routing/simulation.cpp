@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <utility>
 
@@ -14,7 +13,9 @@ namespace confmask {
 
 namespace {
 
-constexpr long kInf = std::numeric_limits<long>::max() / 4;
+// One infinity for every distance array, border rows from IgpDistances
+// included (hot-potato selection compares them against it).
+constexpr long kInf = IgpDistances::kUnreachable;
 constexpr std::size_t kMaxPathsPerFlow = 256;
 constexpr int kMaxPathDepth = 64;
 
@@ -104,18 +105,14 @@ Simulation::Simulation(const ConfigSet& configs)
   ++t_simulation_runs;
   flat_ = std::make_shared<const FlatTopology>(
       FlatTopology::build(*topology_, configs));
-  const int n = topology_->router_count();
   const int hosts = topology_->host_count();
   fib_columns_.resize(static_cast<std::size_t>(hosts));
   dest_dist_.resize(static_cast<std::size_t>(hosts));
-  igp_cache_ = std::make_shared<IgpCache>();
-  igp_cache_->rows.resize(static_cast<std::size_t>(n));
-  igp_cache_->ready.assign(static_cast<std::size_t>(n), 0);
+  igp_ = IgpDistances(flat_);
   index_filters();
   // Hot-potato selection only ever consults distances TOWARDS border
-  // routers, so those are the only rows computed eagerly (the old code
-  // materialized the full R×R matrix here — an O(R²) memory cliff at
-  // 10⁴ routers). igp_distance()/igp_matrix() fill other rows lazily.
+  // routers, so those are the only rows computed eagerly; igp_distance()
+  // fills other rows lazily.
   if (!flat_->sessions().empty()) compute_border_distances();
   const auto& host_ids = topology_->host_ids();
   ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
@@ -133,7 +130,7 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
       // metric only) and the topology is frozen, so both caches carry
       // over by aliasing — no copies.
       to_border_(previous.to_border_),
-      igp_cache_(previous.igp_cache_) {
+      igp_(previous.igp_) {
   poll_cancellation();
   g_simulation_runs.fetch_add(1, std::memory_order_relaxed);
   ++t_simulation_runs;
@@ -349,120 +346,15 @@ bool Simulation::acl_blocks(std::int32_t iface_slot, const Ipv4Prefix* src,
 void Simulation::compute_border_distances() {
   const FlatTopology& flat = *flat_;
   const auto& borders = flat.border_routers();
-  const int n = topology_->router_count();
   auto rows = std::make_shared<std::vector<std::vector<long>>>(
       borders.size());
   // Distances FROM every router TO one border = reverse Dijkstra from the
-  // border relaxing with the neighbor's forwarding cost (edge_cost_in).
-  // One row per border fans out over the pool with disjoint writes.
+  // border. One row per border fans out over the pool with disjoint writes.
   ThreadPool::shared().parallel_for(borders.size(), [&](std::size_t bi) {
-    auto& dist = (*rows)[bi];
-    dist.assign(static_cast<std::size_t>(n), kInf);
-    const std::int32_t border = borders[bi];
-    dist[static_cast<std::size_t>(border)] = 0;
-    std::vector<HeapItem> heap;
-    heap_push(heap, 0, border);
-    while (!heap.empty()) {
-      const auto [d, u] = heap_pop(heap);
-      if (d != dist[static_cast<std::size_t>(u)]) continue;
-      const std::int32_t last = flat.last_out(u);
-      for (std::int32_t e = flat.first_out(u); e < last; ++e) {
-        const std::uint8_t flags = flat.edge_flags(e);
-        if ((flags & FlatTopology::kIgp) == 0) continue;
-        const std::int32_t w = flat.edge_target(e);
-        // Cost of w forwarding TOWARDS u.
-        const long cost =
-            (flags & FlatTopology::kOspf) != 0 ? flat.edge_cost_in(e) : 1;
-        if (d + cost < dist[static_cast<std::size_t>(w)]) {
-          dist[static_cast<std::size_t>(w)] = d + cost;
-          heap_push(heap, d + cost, w);
-        }
-      }
-    }
+    IgpDistances::shortest_paths(flat, borders[bi], /*toward_source=*/true,
+                                 (*rows)[bi]);
   });
   to_border_ = std::move(rows);
-}
-
-const std::vector<long>& Simulation::igp_row(int from) const {
-  IgpCache& cache = *igp_cache_;
-  if (cache.all_ready.load(std::memory_order_acquire)) {
-    return cache.rows[static_cast<std::size_t>(from)];
-  }
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  auto& row = cache.rows[static_cast<std::size_t>(from)];
-  if (cache.ready[static_cast<std::size_t>(from)] != 0) return row;
-  const FlatTopology& flat = *flat_;
-  const int n = topology_->router_count();
-  row.assign(static_cast<std::size_t>(n), kInf);
-  row[static_cast<std::size_t>(from)] = 0;
-  std::vector<HeapItem> heap;
-  heap_push(heap, 0, from);
-  while (!heap.empty()) {
-    const auto [d, u] = heap_pop(heap);
-    if (d != row[static_cast<std::size_t>(u)]) continue;
-    const std::int32_t last = flat.last_out(u);
-    for (std::int32_t e = flat.first_out(u); e < last; ++e) {
-      const std::uint8_t flags = flat.edge_flags(e);
-      if ((flags & FlatTopology::kIgp) == 0) continue;
-      const std::int32_t w = flat.edge_target(e);
-      const long cost =
-          (flags & FlatTopology::kOspf) != 0 ? flat.edge_cost_out(e) : 1;
-      if (d + cost < row[static_cast<std::size_t>(w)]) {
-        row[static_cast<std::size_t>(w)] = d + cost;
-        heap_push(heap, d + cost, w);
-      }
-    }
-  }
-  cache.ready[static_cast<std::size_t>(from)] = 1;
-  return row;
-}
-
-long Simulation::igp_distance(int from, int to) const {
-  const long d = igp_row(from)[static_cast<std::size_t>(to)];
-  return d >= kInf ? -1 : d;
-}
-
-const std::vector<std::vector<long>>& Simulation::igp_matrix() const {
-  IgpCache& cache = *igp_cache_;
-  if (cache.all_ready.load(std::memory_order_acquire)) return cache.rows;
-  // igp_row computes one row under the cache mutex; filling the rest here
-  // via igp_row would serialize R Dijkstras AND take the lock R times, so
-  // bulk consumers get one parallel fill instead. Workers write disjoint
-  // rows/ready flags while this thread holds the lock.
-  std::lock_guard<std::mutex> lock(cache.mutex);
-  if (!cache.all_ready.load(std::memory_order_relaxed)) {
-    const FlatTopology& flat = *flat_;
-    const int n = topology_->router_count();
-    ThreadPool::shared().parallel_for(
-        static_cast<std::size_t>(n), [&](std::size_t src) {
-          if (cache.ready[src] != 0) return;
-          auto& row = cache.rows[src];
-          row.assign(static_cast<std::size_t>(n), kInf);
-          row[src] = 0;
-          std::vector<HeapItem> heap;
-          heap_push(heap, 0, static_cast<std::int32_t>(src));
-          while (!heap.empty()) {
-            const auto [d, u] = heap_pop(heap);
-            if (d != row[static_cast<std::size_t>(u)]) continue;
-            const std::int32_t last = flat.last_out(u);
-            for (std::int32_t e = flat.first_out(u); e < last; ++e) {
-              const std::uint8_t flags = flat.edge_flags(e);
-              if ((flags & FlatTopology::kIgp) == 0) continue;
-              const std::int32_t w = flat.edge_target(e);
-              const long cost = (flags & FlatTopology::kOspf) != 0
-                                    ? flat.edge_cost_out(e)
-                                    : 1;
-              if (d + cost < row[static_cast<std::size_t>(w)]) {
-                row[static_cast<std::size_t>(w)] = d + cost;
-                heap_push(heap, d + cost, w);
-              }
-            }
-          }
-          cache.ready[src] = 1;
-        });
-    cache.all_ready.store(true, std::memory_order_release);
-  }
-  return cache.rows;
 }
 
 void Simulation::compute_bgp_destination(

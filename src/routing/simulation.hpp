@@ -40,25 +40,24 @@
 // frozen topology, the IGP distance caches, and clean FIB columns from the
 // previous simulation instead of copying them.
 //
-// IGP distances are no longer materialized as an eager R×R matrix (an
-// O(R²) memory cliff at 10⁴ routers): hot-potato selection precomputes one
-// distance row per BORDER router only, `igp_distance()` memoizes per-source
-// rows on demand, and bulk consumers (OriginalIndex, topology
-// anonymization) call `igp_matrix()` which fills the whole cache once, in
-// parallel. The cache is shared across incremental generations — link-state
-// distances never see route filters.
+// IGP distances are never materialized as an R×R matrix (an O(R²) memory
+// cliff at 10⁴ routers): hot-potato selection precomputes one distance row
+// per BORDER router only, and `igp_distance()` delegates to an
+// IgpDistances handle (igp_distances.hpp) that memoizes per-source rows on
+// demand. The handle is shared across incremental generations — link-state
+// distances never see route filters — and outlives the Simulation, so
+// OriginalIndex keeps it instead of copying distances out.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "src/config/model.hpp"
 #include "src/routing/dataplane.hpp"
 #include "src/routing/flat_topology.hpp"
+#include "src/routing/igp_distances.hpp"
 #include "src/routing/topology.hpp"
 
 namespace confmask {
@@ -219,17 +218,16 @@ class Simulation {
   [[nodiscard]] std::vector<char> routers_reaching(int host) const;
 
   /// Converged IGP distance between two routers of the same AS (router
-  /// node ids), or a negative value when unreachable. This is the paper's
+  /// node ids), or -1 when unreachable. This is the paper's
   /// min_cost(r, r') used to price fake OSPF links. Per-source rows are
-  /// computed on first use and memoized (thread-safe); callers that need
-  /// all pairs should use igp_matrix() instead.
-  [[nodiscard]] long igp_distance(int from, int to) const;
+  /// computed on first use and memoized (thread-safe).
+  [[nodiscard]] long igp_distance(int from, int to) const {
+    return igp_.distance(from, to);
+  }
 
-  /// The full R×R IGP distance matrix, indexed [from][to]; unreachable /
-  /// cross-AS pairs hold a value >= kInf (igp_distance maps those to -1).
-  /// Rows are filled in parallel on first call and memoized; the cache is
-  /// shared across incremental generations of the same topology.
-  [[nodiscard]] const std::vector<std::vector<long>>& igp_matrix() const;
+  /// The memoized distance handle itself — a copy stays valid after this
+  /// Simulation is gone and shares its row cache.
+  [[nodiscard]] const IgpDistances& igp_distances() const { return igp_; }
 
   /// Number of Simulation instances constructed since process start; the
   /// paper's §5.4 complexity discussion counts exactly these jobs.
@@ -259,17 +257,6 @@ class Simulation {
   struct FibColumn {
     std::vector<std::uint32_t> offset;  // router_count + 1
     std::vector<NextHop> pool;
-  };
-
-  /// Per-source IGP distance rows, memoized lazily and shared (by
-  /// shared_ptr) across incremental generations — link-state distances
-  /// are filter-free, so the cache never invalidates while the topology
-  /// is frozen.
-  struct IgpCache {
-    std::mutex mutex;
-    std::vector<std::vector<long>> rows;  // [from] -> distances, lazily set
-    std::vector<char> ready;
-    std::atomic<bool> all_ready{false};
   };
 
   /// One `neighbor <peer> prefix-list ... in` binding: `count` lists
@@ -316,8 +303,6 @@ class Simulation {
                                 const Ipv4Prefix& dst) const;
   [[nodiscard]] bool denied_bgp(int router, std::uint32_t peer_bits,
                                 const Ipv4Prefix& dest) const;
-  /// Ensures the memoized IGP row for `from` exists and returns it.
-  [[nodiscard]] const std::vector<long>& igp_row(int from) const;
   /// DFS path enumeration over the FIB. `visited` is an O(1)-membership
   /// bitmap indexed by node id (sized node_count). `truncated` latches
   /// true when the path-count or depth cap cut enumeration short.
@@ -346,8 +331,8 @@ class Simulation {
   // the only rows hot-potato selection needs. Computed eagerly iff eBGP
   // sessions exist; shared across incremental generations.
   std::shared_ptr<const std::vector<std::vector<long>>> to_border_;
-  // Lazily memoized per-source rows for igp_distance()/igp_matrix().
-  std::shared_ptr<IgpCache> igp_cache_;
+  // Lazily memoized per-source rows behind igp_distance().
+  IgpDistances igp_;
 
   // Per destination host (index host - router_count): the converged IGP
   // distance vector towards that host, kept so incremental rebuilds can
