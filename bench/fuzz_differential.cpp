@@ -60,6 +60,7 @@ confmask::DifferentialCorpusStats run_scale_corpus(
         run_differential_checks(configs, seed, options);
     ++stats.cases;
     if (result.truncated_skip) ++stats.truncated_skips;
+    if (result.per_router_with_statics) ++stats.per_router_with_statics;
     if (!result.ok && result.finding) {
       ++stats.failures;
       stats.findings.push_back(*result.finding);
@@ -123,10 +124,10 @@ int main(int argc, char** argv) {
 
   std::printf(
       "fuzz_differential%s: %d case(s) from seed %llu — %d divergence(s), "
-      "%d truncated skip(s)\n",
+      "%d truncated skip(s), %d per-router rebuild(s) with statics\n",
       scale ? " [scale]" : "", stats.cases,
       static_cast<unsigned long long>(start_seed), stats.failures,
-      stats.truncated_skips);
+      stats.truncated_skips, stats.per_router_with_statics);
   for (const auto& finding : stats.findings) {
     std::printf("  seed %llu: check '%s' failed: %s\n",
                 static_cast<unsigned long long>(finding.seed),

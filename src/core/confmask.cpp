@@ -82,7 +82,7 @@ PipelineResult run_pipeline(const ConfigSet& original,
   OriginalReusePlan reuse_plan;
   auto preprocess_span = PipelineTrace::begin("preprocess");
   // Built once behind a shared pointer: a watch capture keeps the very
-  // same index instead of deep-copying its FIB map and data plane.
+  // same index instead of deep-copying its data plane.
   const std::shared_ptr<const OriginalIndex> index_ptr = run_stage(
       PipelineStage::kPreprocess,
       [&]() -> std::shared_ptr<const OriginalIndex> {

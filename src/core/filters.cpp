@@ -59,6 +59,20 @@ void bind_bgp(RouterConfig& router, const std::string& list_name,
   }
 }
 
+/// The config of router node `router_node`, addressed by the topology's
+/// config index. Falls back to a hostname lookup only when `configs` is not
+/// the set the topology was built from (the index names another device).
+RouterConfig* router_config(ConfigSet& configs, const Topology& topo,
+                            int router_node) {
+  const TopologyNode& node = topo.node(router_node);
+  const auto index = static_cast<std::size_t>(node.config_index);
+  if (index < configs.routers.size() &&
+      configs.routers[index].hostname == node.name) {
+    return &configs.routers[index];
+  }
+  return configs.find_router(node.name);
+}
+
 }  // namespace
 
 std::string igp_filter_name(const std::string& interface) {
@@ -74,7 +88,7 @@ std::string bgp_filter_name(Ipv4Address peer) {
 bool add_route_filter(ConfigSet& configs, const Topology& topo,
                       int router_node, const Link& link,
                       const Ipv4Prefix& dest) {
-  auto* router = configs.find_router(topo.node(router_node).name);
+  auto* router = router_config(configs, topo, router_node);
   if (router == nullptr) return false;
   const LinkEnd& mine = link.end_of(router_node);
   const LinkEnd& far = link.other_end(router_node);
@@ -99,7 +113,7 @@ bool add_route_filter(ConfigSet& configs, const Topology& topo,
 bool remove_route_filter(ConfigSet& configs, const Topology& topo,
                          int router_node, const Link& link,
                          const Ipv4Prefix& dest) {
-  auto* router = configs.find_router(topo.node(router_node).name);
+  auto* router = router_config(configs, topo, router_node);
   if (router == nullptr) return false;
   const LinkEnd& mine = link.end_of(router_node);
   const LinkEnd& far = link.other_end(router_node);

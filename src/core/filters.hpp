@@ -25,8 +25,10 @@ namespace confmask {
 [[nodiscard]] std::string bgp_filter_name(Ipv4Address peer);
 
 /// Adds "deny `dest` learned from the far end of `link`" on `router`
-/// (whose node id must be an endpoint of `link`). Chooses IGP vs BGP scope
-/// from the router configurations. Returns true if a new deny entry was
+/// (whose node id must be an endpoint of `link`). The router's config is
+/// found through the node's `config_index` (a hostname lookup only when
+/// `configs` is not the set `topo` was built from). Chooses IGP vs BGP
+/// scope from the router configurations. Returns true if a new deny entry was
 /// added, false if it already existed or no protocol carries the route
 /// over that link.
 bool add_route_filter(ConfigSet& configs, const Topology& topo,

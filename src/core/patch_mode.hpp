@@ -8,7 +8,8 @@
 //    Algorithm 1 entry (post-Step-1 configs) and Algorithm 2 entry
 //    (post-fake-hosts configs) — each as a stable copy of the stage-entry
 //    configs plus the simulation over them;
-//  * the preprocessing OriginalIndex (FIB rows, data plane, IGP matrix);
+//  * the preprocessing OriginalIndex (borrowed FIB columns, data plane,
+//    IGP-distance handle);
 //  * the topology-anonymization stage output: the post-Step-1 configs
 //    together with the RNG and prefix-allocator state the stage left
 //    behind.
@@ -19,8 +20,9 @@
 //  * a stage simulation is seeded through the incremental constructor iff
 //    the stage-entry diff (diff_config_sets) is filter-only, with the
 //    diff's conservative dirty set;
-//  * the OriginalIndex is spliced (dirty destinations re-derived, the rest
-//    copied) iff the diff is additionally free of packet-ACL changes —
+//  * the OriginalIndex is spliced (flows toward dirty destinations
+//    re-extracted, the rest copied) iff the diff is additionally free of
+//    packet-ACL changes —
 //    ACLs reshape data-plane flows without contributing dirty prefixes;
 //  * the topology stage is replayed from the snapshot (graft_topology:
 //    append the same fake interfaces / networks / neighbors, restore the

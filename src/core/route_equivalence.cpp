@@ -1,6 +1,7 @@
 #include "src/core/route_equivalence.hpp"
 
 #include <memory>
+#include <vector>
 
 #include "src/core/errors.hpp"
 #include "src/core/filters.hpp"
@@ -22,6 +23,11 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
   // iteration re-simulates incrementally through the dirty set of filters
   // it just added.
   std::shared_ptr<Simulation> simulation;
+  // Per node id of the (frozen) topology: its original node id, -1 for
+  // fake devices. Resolved once per stage with the real hosts' configs, so
+  // the per-FIB-entry loop below compares integers only.
+  std::vector<int> to_original;
+  std::vector<const HostConfig*> host_configs;
   for (int iteration = 0; iteration < max_iterations; ++iteration) {
     // Fixpoint iterations dominate the pipeline's wall clock, so each one
     // is a cancellation safe point (deadline/cancel lands here, not only
@@ -41,6 +47,20 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
     }
     const Simulation& sim = *simulation;
     const Topology& topo = sim.topology();
+    const int router_count = topo.router_count();
+    if (to_original.empty()) {
+      to_original = index.original_ids(topo);
+      host_configs.assign(topo.host_ids().size(), nullptr);
+      for (const int host : topo.host_ids()) {
+        const TopologyNode& node = topo.node(host);
+        const auto config = static_cast<std::size_t>(node.config_index);
+        host_configs[static_cast<std::size_t>(host - router_count)] =
+            config < configs.hosts.size() &&
+                    configs.hosts[config].hostname == node.name
+                ? &configs.hosts[config]
+                : configs.find_host(node.name);
+      }
+    }
     ++outcome.iterations;
     if (iteration_span) {
       const IncrementalStats& inc = sim.incremental_stats();
@@ -53,35 +73,40 @@ RouteEquivalenceOutcome enforce_route_equivalence(ConfigSet& configs,
     SimulationDelta delta;
     int added = 0;
     std::uint64_t fib_entries_scanned = 0;
-    for (int r = 0; r < topo.router_count(); ++r) {
-      const std::string& router_name = topo.node(r).name;
+    for (int r = 0; r < router_count; ++r) {
+      const int original_r = to_original[static_cast<std::size_t>(r)];
       // Fake routers (node-addition extension) never carry real transit —
       // every real-router FIB entry pointing at them crosses a fake link
       // and is filtered below — so their own FIBs need no fixing (and
       // emptying them would flag them to the zero-traffic attack).
-      if (index.routers().count(router_name) == 0) continue;
+      if (original_r < 0) continue;
       for (int host : topo.host_ids()) {
-        const std::string& host_name = topo.node(host).name;
+        const int original_host = to_original[static_cast<std::size_t>(host)];
         // Algorithm 1 fixes the routes of ORIGINAL destinations only;
         // fake-host routes are Step 2.2's raw material.
-        if (index.real_hosts().count(host_name) == 0) continue;
+        if (original_host < 0) continue;
         for (const NextHop& hop : sim.fib(r, host)) {
           ++fib_entries_scanned;
           if (!topo.is_router(hop.neighbor)) continue;  // delivery
-          const std::string& next_name = topo.node(hop.neighbor).name;
-          // Line 3 of Algorithm 1: nxt ∉ DP[r̃, h̃_d] ∧ (r̃, nxt) ∉ E.
-          if (index.is_original_edge(router_name, next_name)) continue;
-          if (index.is_original_next_hop(router_name, host_name, next_name)) {
+          // Line 3 of Algorithm 1: nxt ∉ DP[r̃, h̃_d] ∧ (r̃, nxt) ∉ E. A
+          // fake next hop (-1) is in neither.
+          const int original_next =
+              to_original[static_cast<std::size_t>(hop.neighbor)];
+          if (original_next >= 0 &&
+              (index.is_original_edge(original_r, original_next) ||
+               index.is_original_next_hop(original_r, original_host,
+                                          original_next))) {
             continue;
           }
-          const auto* host_config = configs.find_host(host_name);
+          const HostConfig* host_config =
+              host_configs[static_cast<std::size_t>(host - router_count)];
           if (host_config == nullptr) {
             // The topology names a host the config set does not contain —
             // an invariant violation (configs and topology are built from
             // each other). Fail typed instead of dereferencing null.
             ErrorContext context;
-            context.router = router_name;
-            context.host = host_name;
+            context.router = topo.node(r).name;
+            context.host = topo.node(host).name;
             context.iterations = outcome.iterations;
             throw PipelineError(PipelineStage::kRouteEquivalence,
                                 ErrorCategory::kInternal,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <utility>
 
@@ -114,10 +115,41 @@ Simulation::Simulation(const ConfigSet& configs)
   // routers, so those are the only rows computed eagerly; igp_distance()
   // fills other rows lazily.
   if (!flat_->sessions().empty()) compute_border_distances();
+  // One reverse Dijkstra per OSPF gateway: the first OSPF destination on
+  // each gateway leads and computes the distance vector; the others on
+  // that gateway adopt it (an OSPF vector is a function of the gateway
+  // alone) in a second pass, after every leader's vector exists.
+  const int n = topology_->router_count();
   const auto& host_ids = topology_->host_ids();
-  ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
-    compute_destination(host_ids[i], nullptr);
+  std::vector<std::int32_t> gateway_leader(static_cast<std::size_t>(n), -1);
+  std::vector<std::size_t> leaders;
+  std::vector<std::pair<std::size_t, std::int32_t>> followers;
+  for (std::size_t i = 0; i < host_ids.size(); ++i) {
+    const int hidx = host_ids[i] - n;
+    const int gateway = flat_->host_gateway(hidx);
+    if (gateway < 0 ||
+        flat_->host_route(hidx) != FlatTopology::HostRoute::kOspf) {
+      leaders.push_back(i);
+      continue;
+    }
+    auto& leader = gateway_leader[static_cast<std::size_t>(gateway)];
+    if (leader < 0) {
+      leader = hidx;
+      leaders.push_back(i);
+    } else {
+      followers.emplace_back(i, leader);
+    }
+  }
+  ThreadPool::shared().parallel_for(leaders.size(), [&](std::size_t i) {
+    compute_destination(host_ids[leaders[i]], nullptr);
   });
+  ThreadPool::shared().parallel_for(followers.size(), [&](std::size_t i) {
+    const auto [host_index, leader] = followers[i];
+    compute_destination(host_ids[host_index],
+                        dest_dist_[static_cast<std::size_t>(leader)]);
+  });
+  incremental_stats_.distance_vectors_shared =
+      static_cast<int>(followers.size());
 }
 
 Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
@@ -143,6 +175,34 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
   // dangle after prefix-list edits). Cheap: one pass over the configs.
   index_filters();
 
+  // The delta bucketed by distinct prefix, each bucket holding the
+  // ascending, unique routers that edited a filter on it: one overlap test
+  // per distinct prefix and destination instead of one per change.
+  struct DirtyPrefix {
+    Ipv4Prefix prefix;
+    std::vector<std::int32_t> routers;
+  };
+  std::vector<DirtyPrefix> buckets;
+  {
+    std::vector<std::pair<Ipv4Prefix, std::int32_t>> changes;
+    changes.reserve(delta.changes.size());
+    for (const auto& change : delta.changes) {
+      changes.emplace_back(change.prefix, change.router);
+    }
+    std::sort(changes.begin(), changes.end());
+    changes.erase(std::unique(changes.begin(), changes.end()),
+                  changes.end());
+    for (const auto& [prefix, router] : changes) {
+      if (buckets.empty() || buckets.back().prefix != prefix) {
+        buckets.push_back(DirtyPrefix{prefix, {}});
+      }
+      buckets.back().routers.push_back(router);
+    }
+  }
+  // The per-router rule's guard: BGP egress selection at one router reads
+  // other routers' session filters, so only BGP-free networks qualify.
+  const bool per_router = flat_->sessions().empty();
+
   const auto& host_ids = topology_->host_ids();
   // -1 = column inherited; otherwise the DestAction taken. Written by
   // disjoint indices in the parallel loop, tallied serially below.
@@ -150,14 +210,20 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
   ThreadPool::shared().parallel_for(host_ids.size(), [&](std::size_t i) {
     const int host = host_ids[i];
     const std::size_t idx = static_cast<std::size_t>(host - n);
-    const Ipv4Prefix host_prefix =
+    const Ipv4Prefix& host_prefix =
         flat_->host_prefix(static_cast<int>(idx));
+    thread_local std::vector<std::int32_t> routers;
+    thread_local std::vector<std::int32_t> merged;
+    routers.clear();
     bool dirty = false;
-    for (const auto& change : delta.changes) {
-      if (change.prefix.overlaps(host_prefix)) {
-        dirty = true;
-        break;
-      }
+    for (const DirtyPrefix& bucket : buckets) {
+      if (!bucket.prefix.overlaps(host_prefix)) continue;
+      dirty = true;
+      if (!per_router) break;
+      merged.clear();
+      std::set_union(routers.begin(), routers.end(), bucket.routers.begin(),
+                     bucket.routers.end(), std::back_inserter(merged));
+      routers.swap(merged);
     }
     if (!dirty) {
       // Clean destination: alias the previous generation's immutable
@@ -166,8 +232,25 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
       dest_dist_[idx] = previous.dest_dist_[idx];
       return;
     }
-    actions[i] = static_cast<signed char>(
-        compute_destination(host, previous.dest_dist_[idx]));
+    const auto& reuse_dist = previous.dest_dist_[idx];
+    const auto& previous_column = previous.fib_columns_[idx];
+    if (per_router &&
+        flat_->host_route(static_cast<int>(idx)) ==
+            FlatTopology::HostRoute::kOspf &&
+        reuse_dist != nullptr && !reuse_dist->empty() &&
+        previous_column != nullptr) {
+      const auto& statics = flat_->routers_with_statics();
+      merged.clear();
+      std::set_union(routers.begin(), routers.end(), statics.begin(),
+                     statics.end(), std::back_inserter(merged));
+      rederive_destination(host, *previous_column, reuse_dist->data(),
+                           merged);
+      dest_dist_[idx] = reuse_dist;
+      actions[i] = static_cast<signed char>(DestAction::kRederived);
+      return;
+    }
+    actions[i] =
+        static_cast<signed char>(compute_destination(host, reuse_dist));
   });
   for (const signed char action : actions) {
     if (action < 0) {
@@ -176,6 +259,10 @@ Simulation::Simulation(const ConfigSet& configs, const Simulation& previous,
     }
     ++incremental_stats_.destinations_recomputed;
     switch (static_cast<DestAction>(action)) {
+      case DestAction::kRederived:
+        ++incremental_stats_.destinations_rederived_by_router;
+        ++incremental_stats_.distance_vectors_reused;
+        break;
       case DestAction::kDistReused:
         ++incremental_stats_.distance_vectors_reused;
         break;
@@ -196,11 +283,13 @@ FibView Simulation::fib(int router, int host) const {
   }
   const auto& column = fib_columns_[static_cast<std::size_t>(host - n)];
   if (column == nullptr) return {};
-  const std::uint32_t first =
-      column->offset[static_cast<std::size_t>(router)];
-  const std::uint32_t last =
-      column->offset[static_cast<std::size_t>(router) + 1];
-  return FibView{column->pool.data() + first, last - first};
+  return column->at(router);
+}
+
+std::shared_ptr<const FibColumn> Simulation::fib_column(int host) const {
+  const int n = topology_->router_count();
+  if (host < n || host >= topology_->node_count()) return nullptr;
+  return fib_columns_[static_cast<std::size_t>(host - n)];
 }
 
 void Simulation::index_filters() {
@@ -564,76 +653,28 @@ Simulation::DestAction Simulation::compute_destination(
   }
 
   // IGP next hops: every equal-cost candidate not denied by a filter on
-  // the incoming interface.
+  // the incoming interface. The gateway's slot holds only the delivery.
   if (in_ospf || in_rip) {
     for (int r = 0; r < n; ++r) {
       if (r == gateway || dist[static_cast<std::size_t>(r)] >= kInf) {
         continue;
       }
-      const std::int32_t last = flat.last_out(r);
-      bool pushed = false;
-      for (std::int32_t e = flat.first_out(r); e < last; ++e) {
-        const std::uint8_t flags = flat.edge_flags(e);
-        if ((flags & (in_ospf ? FlatTopology::kOspf : FlatTopology::kRip)) ==
-            0) {
-          continue;
-        }
-        const std::int32_t w = flat.edge_target(e);
-        const long out_cost = in_ospf ? flat.edge_cost_out(e) : 1;
-        if (dist[static_cast<std::size_t>(w)] + out_cost !=
-            dist[static_cast<std::size_t>(r)]) {
-          continue;
-        }
-        if (denied_igp(flat.edge_iface(e), dest_prefix)) continue;
-        push_hop(r, NextHop{flat.edge_link(e), w});
-        pushed = true;
-      }
-      if (pushed) {
-        auto& slot = slots[static_cast<std::size_t>(r)];
-        std::sort(slot.begin(), slot.end());
-      }
+      auto& slot = slots[static_cast<std::size_t>(r)];
+      igp_next_hops(r, dist, in_ospf, dest_prefix, slot);
+      if (!slot.empty()) touched.push_back(r);
     }
   }
 
   compute_bgp_destination(host, gateway, dest_prefix, slots, touched);
 
-  // Static routes: longest-prefix match against the protocol route for
-  // the host LAN; administrative distance 1 beats IGP/BGP at equal
-  // length. Connected delivery at the gateway always wins.
+  // Static routes. Connected delivery at the gateway always wins.
   const Ipv4Address host_address = flat.host_address(hidx);
   for (const int r : flat.routers_with_statics()) {
     if (r == gateway) continue;
-    const auto& router = configs_->routers[static_cast<std::size_t>(
-        topology_->node(r).config_index)];
-    const StaticRoute* best = nullptr;
-    for (const auto& route_entry : router.static_routes) {
-      if (!route_entry.prefix.contains(host_address)) continue;
-      if (best == nullptr ||
-          route_entry.prefix.length() > best->prefix.length()) {
-        best = &route_entry;
-      }
+    if (apply_static_route(r, host_address, dest_prefix,
+                           slots[static_cast<std::size_t>(r)])) {
+      touched.push_back(r);
     }
-    if (best == nullptr) continue;
-    auto& slot = slots[static_cast<std::size_t>(r)];
-    const bool overrides =
-        slot.empty() || best->prefix.length() >= dest_prefix.length();
-    if (!overrides) continue;
-    // Resolve the next hop to a directly connected neighbor (cold path:
-    // endpoint addresses live only in the Topology's link ends).
-    int resolved_link = -1;
-    int resolved_neighbor = -1;
-    for (const int link_id : topology_->links_of(r)) {
-      const Link& link = topology_->link(link_id);
-      const LinkEnd& far = link.other_end(r);
-      if (far.address == best->next_hop) {
-        resolved_link = link_id;
-        resolved_neighbor = far.node;
-        break;
-      }
-    }
-    if (resolved_link < 0) continue;  // unresolvable next hop: keep RIB
-    slot.clear();
-    push_hop(r, NextHop{resolved_link, resolved_neighbor});
   }
 
   // Pack the per-router slots into this destination's immutable column
@@ -663,6 +704,97 @@ Simulation::DestAction Simulation::compute_destination(
     }
   }
   return action;
+}
+
+void Simulation::igp_next_hops(int r, const long* dist, bool in_ospf,
+                               const Ipv4Prefix& dest_prefix,
+                               std::vector<NextHop>& slot) const {
+  const FlatTopology& flat = *flat_;
+  const std::uint8_t protocol =
+      in_ospf ? FlatTopology::kOspf : FlatTopology::kRip;
+  const std::size_t before = slot.size();
+  const std::int32_t last = flat.last_out(r);
+  for (std::int32_t e = flat.first_out(r); e < last; ++e) {
+    if ((flat.edge_flags(e) & protocol) == 0) continue;
+    const std::int32_t w = flat.edge_target(e);
+    const long out_cost = in_ospf ? flat.edge_cost_out(e) : 1;
+    if (dist[static_cast<std::size_t>(w)] + out_cost !=
+        dist[static_cast<std::size_t>(r)]) {
+      continue;
+    }
+    if (denied_igp(flat.edge_iface(e), dest_prefix)) continue;
+    slot.push_back(NextHop{flat.edge_link(e), w});
+  }
+  if (slot.size() != before) std::sort(slot.begin(), slot.end());
+}
+
+bool Simulation::apply_static_route(int r, Ipv4Address host_address,
+                                    const Ipv4Prefix& dest_prefix,
+                                    std::vector<NextHop>& slot) const {
+  const auto& router = configs_->routers[static_cast<std::size_t>(
+      topology_->node(r).config_index)];
+  const StaticRoute* best = nullptr;
+  for (const auto& route_entry : router.static_routes) {
+    if (!route_entry.prefix.contains(host_address)) continue;
+    if (best == nullptr ||
+        route_entry.prefix.length() > best->prefix.length()) {
+      best = &route_entry;
+    }
+  }
+  if (best == nullptr) return false;
+  const bool overrides =
+      slot.empty() || best->prefix.length() >= dest_prefix.length();
+  if (!overrides) return false;
+  // Resolve the next hop to a directly connected neighbor (cold path:
+  // endpoint addresses live only in the Topology's link ends).
+  for (const int link_id : topology_->links_of(r)) {
+    const LinkEnd& far = topology_->link(link_id).other_end(r);
+    if (far.address == best->next_hop) {
+      slot.clear();
+      slot.push_back(NextHop{link_id, far.node});
+      return true;
+    }
+  }
+  return false;  // unresolvable next hop: keep the RIB's entries
+}
+
+void Simulation::rederive_destination(
+    int host, const FibColumn& previous, const long* dist,
+    const std::vector<std::int32_t>& routers) {
+  const FlatTopology& flat = *flat_;
+  const int n = topology_->router_count();
+  const int hidx = host - n;
+  const int gateway = flat.host_gateway(hidx);
+  const Ipv4Prefix& dest_prefix = flat.host_prefix(hidx);
+  const Ipv4Address host_address = flat.host_address(hidx);
+
+  auto column = std::make_shared<FibColumn>();
+  column->offset.resize(static_cast<std::size_t>(n) + 1);
+  column->pool.reserve(previous.pool.size());
+  thread_local std::vector<NextHop> slot;
+  auto next = routers.begin();
+  for (int r = 0; r < n; ++r) {
+    column->offset[static_cast<std::size_t>(r)] =
+        static_cast<std::uint32_t>(column->pool.size());
+    // The gateway's slot is the filter-free connected delivery: copied.
+    if (next != routers.end() && *next == r) {
+      ++next;
+      if (r != gateway) {
+        slot.clear();
+        if (dist[static_cast<std::size_t>(r)] < kInf) {
+          igp_next_hops(r, dist, /*in_ospf=*/true, dest_prefix, slot);
+        }
+        apply_static_route(r, host_address, dest_prefix, slot);
+        column->pool.insert(column->pool.end(), slot.begin(), slot.end());
+        continue;
+      }
+    }
+    const FibView kept = previous.at(r);
+    column->pool.insert(column->pool.end(), kept.begin(), kept.end());
+  }
+  column->offset[static_cast<std::size_t>(n)] =
+      static_cast<std::uint32_t>(column->pool.size());
+  fib_columns_[static_cast<std::size_t>(hidx)] = std::move(column);
 }
 
 bool Simulation::walk(int router, int dst_host, const Ipv4Prefix* src_prefix,

@@ -38,7 +38,15 @@
 // worker count), and the incremental constructor re-simulates only the
 // destinations a SimulationDelta's filter edits can affect, aliasing the
 // frozen topology, the IGP distance caches, and clean FIB columns from the
-// previous simulation instead of copying them.
+// previous simulation instead of copying them. Within a dirty link-state
+// destination it re-derives only the routers whose own filters changed
+// (the per-router rule on the incremental constructor).
+//
+// OSPF distances toward a destination depend only on its gateway, so a
+// fresh build runs one reverse Dijkstra per OSPF gateway: the first
+// destination on each gateway (the leader) computes the vector and every
+// other destination on that gateway adopts it (fake hosts share their real
+// twin's gateway, so this halves Algorithm 2's entry simulation).
 //
 // IGP distances are never materialized as an R×R matrix (an O(R²) memory
 // cliff at 10⁴ routers): hot-potato selection precomputes one distance row
@@ -102,6 +110,21 @@ class FibView {
   std::size_t size_ = 0;
 };
 
+/// One destination's FIB entries for ALL routers, packed into a single
+/// arena: entries of router r live at pool[offset[r] .. offset[r+1]).
+/// Immutable once built; incremental descendants alias clean columns, and
+/// OriginalIndex borrows the original network's columns by shared_ptr.
+struct FibColumn {
+  std::vector<std::uint32_t> offset;  // router_count + 1
+  std::vector<NextHop> pool;
+
+  [[nodiscard]] FibView at(int router) const {
+    const std::uint32_t first = offset[static_cast<std::size_t>(router)];
+    const std::uint32_t last = offset[static_cast<std::size_t>(router) + 1];
+    return FibView{pool.data() + first, last - first};
+  }
+};
+
 /// The route-filter edits applied to a ConfigSet since a previous
 /// Simulation was built over it — the dirty set driving incremental
 /// re-simulation. Both additions and removals are recorded the same way:
@@ -122,15 +145,24 @@ struct SimulationDelta {
 };
 
 /// What an incremental rebuild actually recomputed (all zero for a fresh
-/// build). Distance-vector counters only cover IGP-routed destinations:
-/// OSPF distances are filter-independent (computed over the full LSDB) and
-/// are reused even for dirty destinations, while RIP distances embed
-/// filter effects in the Bellman-Ford relaxation and must be recomputed.
+/// build except `distance_vectors_shared`). Distance-vector counters only
+/// cover IGP-routed destinations: OSPF distances are filter-independent
+/// (computed over the full LSDB) and are reused even for dirty
+/// destinations, while RIP distances embed filter effects in the
+/// Bellman-Ford relaxation and must be recomputed.
 struct IncrementalStats {
   int destinations_reused = 0;
   int destinations_recomputed = 0;
   int distance_vectors_reused = 0;
   int distance_vectors_recomputed = 0;
+  /// Of destinations_recomputed: link-state columns re-derived only at the
+  /// routers the delta names (plus static-route routers), every other
+  /// router's slot copied from the previous column.
+  int destinations_rederived_by_router = 0;
+  /// Fresh builds: OSPF destinations that adopted the distance vector of
+  /// another destination on the same gateway instead of running their
+  /// own reverse Dijkstra.
+  int distance_vectors_shared = 0;
 };
 
 class Simulation {
@@ -147,7 +179,18 @@ class Simulation {
   /// entry alias their FIB column and per-destination distances from
   /// `previous`; dirty OSPF destinations reuse distances (filters only
   /// gate next-hop installation) and dirty RIP destinations recompute
-  /// them (filters shape distance-vector propagation). The result is
+  /// them (filters shape distance-vector propagation).
+  ///
+  /// Per-router rule: an OSPF router's next hops toward a destination
+  /// depend only on the (filter-free) distances and the route filters on
+  /// its OWN interfaces, so a filter edit on router X can change X's slot
+  /// alone. Hence a dirty OSPF destination with reused distances, in a
+  /// network with no eBGP session (BGP egress selection reads filters of
+  /// other routers), re-derives only the routers whose delta entries
+  /// overlap its prefix, plus every static-route router (static routes are
+  /// re-read from the current configs, as a fresh build does), and copies
+  /// every other router's slot from the previous column. The delta is
+  /// bucketed by distinct prefix once per constructor. The result is
   /// bit-identical to a fresh `Simulation(configs)`.
   Simulation(const ConfigSet& configs, const Simulation& previous,
              const SimulationDelta& delta);
@@ -175,6 +218,11 @@ class Simulation {
   /// from this simulation's column arenas — it stays valid while this
   /// Simulation (or an incremental descendant aliasing the column) lives.
   [[nodiscard]] FibView fib(int router, int host) const;
+
+  /// The whole immutable FIB column of destination host `host` (node id),
+  /// shared: it outlives this Simulation. Null for a host no router routes
+  /// to (no gateway) or an id that is not a host.
+  [[nodiscard]] std::shared_ptr<const FibColumn> fib_column(int host) const;
 
   /// All complete forwarding paths from `src_host` to `dst_host` as node-id
   /// sequences, lexicographically sorted. ECMP branches are enumerated.
@@ -251,14 +299,6 @@ class Simulation {
   static std::uint64_t runs_on_this_thread();
 
  private:
-  /// One destination's FIB entries for ALL routers, packed into a single
-  /// arena: entries of router r live at pool[offset[r] .. offset[r+1]).
-  /// Immutable once built; incremental descendants alias clean columns.
-  struct FibColumn {
-    std::vector<std::uint32_t> offset;  // router_count + 1
-    std::vector<NextHop> pool;
-  };
-
   /// One `neighbor <peer> prefix-list ... in` binding: `count` lists
   /// starting at bgp_filter_pool_[first]. Sorted by peer_bits per router.
   struct BgpFilterEntry {
@@ -278,12 +318,34 @@ class Simulation {
     kFresh,         ///< no distance vector applicable (static/BGP only)
     kDistReused,    ///< OSPF: distances adopted from `reuse_dist`
     kDistComputed,  ///< distances computed from scratch
+    kRederived,     ///< OSPF: distances adopted, per-router rule applied
   };
   /// `reuse_dist` may be null; when adopted, the column's distance vector
   /// ALIASES it (no copy) — the shared_ptr keeps it alive across
   /// generations.
   DestAction compute_destination(
       int host, const std::shared_ptr<const std::vector<long>>& reuse_dist);
+  /// The per-router incremental rule (see the incremental constructor):
+  /// builds host's column from `previous` (its column in the previous
+  /// generation), re-deriving only `routers` (ascending, unique) over the
+  /// link-state distances `dist`.
+  void rederive_destination(int host, const FibColumn& previous,
+                            const long* dist,
+                            const std::vector<std::int32_t>& routers);
+  /// Appends router r's equal-cost IGP next hops toward `dest_prefix` (OSPF
+  /// costs when `in_ospf`, RIP hop counts otherwise) that no route filter
+  /// on r's incoming interface denies, sorted. `dist` is the converged
+  /// distance vector toward the destination's gateway.
+  void igp_next_hops(int r, const long* dist, bool in_ospf,
+                     const Ipv4Prefix& dest_prefix,
+                     std::vector<NextHop>& slot) const;
+  /// Static-route override of router r's slot for a destination host:
+  /// longest-prefix match of r's static routes against `host_address`;
+  /// administrative distance 1 beats IGP/BGP at equal prefix length.
+  /// Returns true if the slot was replaced.
+  bool apply_static_route(int r, Ipv4Address host_address,
+                          const Ipv4Prefix& dest_prefix,
+                          std::vector<NextHop>& slot) const;
   /// BGP part of compute_destination: FIBs of routers outside the origin
   /// AS (AS-level path-vector + hot-potato egress selection). Appends into
   /// the caller's per-router slot builders.

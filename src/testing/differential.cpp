@@ -435,6 +435,10 @@ DifferentialResult run_differential_checks(const ConfigSet& configs,
     }
     if (!delta.empty()) {
       const Simulation incremental(edited, fast, delta);
+      result.per_router_with_statics =
+          incremental.incremental_stats().destinations_rederived_by_router >
+              0 &&
+          !incremental.flat().routers_with_statics().empty();
       const Simulation fresh(edited);
       if (auto mismatch = first_fib_mismatch(incremental, fresh);
           !mismatch.empty()) {
@@ -493,6 +497,7 @@ DifferentialCorpusStats run_differential_corpus(
                               options);
     ++stats.cases;
     if (result.truncated_skip) ++stats.truncated_skips;
+    if (result.per_router_with_statics) ++stats.per_router_with_statics;
     if (!result.ok && result.finding) {
       ++stats.failures;
       stats.findings.push_back(*result.finding);

@@ -58,6 +58,10 @@ struct DifferentialResult {
   /// True when the reference enumeration hit the path/depth caps and the
   /// oracle comparison was skipped (truncated sets are order-dependent).
   bool truncated_skip = false;
+  /// True when the incremental ≡ full check re-derived at least one dirty
+  /// link-state destination router by router (the incremental
+  /// constructor's per-router rule) in a network with static routes.
+  bool per_router_with_statics = false;
   std::optional<DifferentialFinding> finding;
 };
 
@@ -84,6 +88,7 @@ struct DifferentialCorpusStats {
   int cases = 0;
   int failures = 0;
   int truncated_skips = 0;
+  int per_router_with_statics = 0;  ///< cases with that flag set
   std::vector<DifferentialFinding> findings;
 };
 

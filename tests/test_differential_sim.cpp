@@ -66,9 +66,13 @@ TEST(DifferentialOracle, AgreesOnAllEvaluationNetworks) {
 
 // A deterministic slice of the fuzz corpus: every seed runs the full check
 // ladder (oracle, incremental ≡ full after edits, jobs-1 ≡ jobs-N). The CI
-// `differential` job runs the same corpus two hundred seeds deep.
+// `differential` job runs the same corpus two hundred seeds deep. The
+// slice must reach the incremental constructor's per-router rule on a
+// network with static routes, or that rule's incremental ≡ full check
+// would be vacuous.
 TEST(DifferentialOracle, RandomCorpusAgrees) {
   DifferentialOptions options;  // empty repro_dir: tests write no artifacts
+  int per_router_with_statics = 0;
   for (std::uint64_t seed = 1; seed <= 25; ++seed) {
     const DifferentialResult result = run_differential_case(seed, options);
     EXPECT_TRUE(result.ok)
@@ -76,7 +80,9 @@ TEST(DifferentialOracle, RandomCorpusAgrees) {
         << (result.finding
                 ? result.finding->check + " — " + result.finding->detail
                 : std::string{});
+    if (result.per_router_with_statics) ++per_router_with_statics;
   }
+  EXPECT_GT(per_router_with_statics, 0);
 }
 
 // The scale families at 500 routers, decorated, through the same ladder:
