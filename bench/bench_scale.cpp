@@ -1,33 +1,36 @@
 // Scale sweep of the simulation core on the netgen scale families
-// (10²–10⁴ routers): topology build, flat fresh simulation, frozen
-// pre-refactor baseline simulation (the ISSUE-7 ≥2× gate), incremental vs
-// full re-simulation after a filter edit, and the full ConfMask pipeline
-// with per-phase span metrics (DESIGN.md §9) on the sizes it can afford.
+// (10²–10⁴ routers): topology build, flat fresh simulation, the serial
+// reference oracle (src/routing/reference_sim) on the same network,
+// incremental vs full re-simulation after a filter edit, and the full
+// ConfMask pipeline with per-span metrics (DESIGN.md §9) on the sizes it
+// can afford.
 //
-//   bench_scale [--max-routers N] [--baseline-max N] [--pipeline-max N]
-//               [--jobs N] [--families LIST] [--out FILE]
+//   bench_scale [--max-routers N] [--pipeline-max N] [--jobs N]
+//               [--families LIST] [--out FILE]
 //
 // --families takes comma-separated name prefixes (default: all four).
 //
-// Writes BENCH_scale.json (schema confmask.bench-scale/2). Sizes above the
-// caps are skipped and logged, never silently dropped: --baseline-max
-// (default 3162) bounds the old engine, whose eager R×R IGP matrix costs
-// O(R²) memory (~800 MB at 10⁴); --pipeline-max (default 316) bounds the
-// full anonymization pipeline. The pipeline holds no R×R table (IGP rows
-// are lazy, DESIGN.md §13), so raising --pipeline-max to 3162 is cheap
-// enough for CI, which gates pipeline_s / fresh_sim_s there.
+// Writes BENCH_scale.json (schema confmask.bench-scale/3). Sizes above the
+// caps are skipped and logged, never silently dropped: the oracle runs up
+// to 3162 routers (its Bellman-Ford convergence grows steeply with size);
+// --pipeline-max (default 316) bounds the full anonymization pipeline.
+// The pipeline holds no R×R table (IGP rows are lazy, DESIGN.md §13), so
+// raising --pipeline-max to 3162 is cheap enough for CI, which gates
+// pipeline_s / fresh_sim_s there. With --jobs 1 both engines run serially,
+// so reference_sim_s / fresh_sim_s is a same-run, core-count-independent
+// ratio; CI gates it at the points of 316 routers or more.
 //
 // Each pipeline point runs in a child process (this binary re-executed
 // with --pipeline-point FAMILY ROUTERS REPETITIONS) that builds the
 // network and runs the pipeline; the row records the child's verdict
 // (verified, or the error category it refused with), its best-of-N wall
-// time and phase spans, and its peak RSS (the child's own VmHWM, which
-// covers network generation plus the pipeline runs). A fresh process per
-// point keeps one point's high-water mark (e.g. the baseline engine's
-// matrix) out of the next. A refusal is data, not a failure:
+// time and the spans of that run (every path, child spans included), and
+// its peak RSS (the child's own VmHWM, which covers network generation
+// plus the pipeline runs). A fresh process per point keeps one point's
+// high-water mark out of the next. A refusal is data, not a failure:
 // only a child that dies or prints no result makes the exit nonzero.
-// Wherever the baseline does run, every FIB column must be bit-identical
-// between the engines — any mismatch makes the exit status nonzero, so
+// Wherever the oracle runs, every FIB column must match it entry for
+// entry and in order — any mismatch makes the exit status nonzero, so
 // the sweep doubles as a correctness gate.
 #include <sys/wait.h>
 #include <unistd.h>
@@ -45,7 +48,7 @@
 #include "src/core/filters.hpp"
 #include "src/core/pipeline_trace.hpp"
 #include "src/netgen/scale_families.hpp"
-#include "src/routing/baseline_sim.hpp"
+#include "src/routing/reference_sim.hpp"
 #include "src/routing/simulation.hpp"
 #include "src/routing/topology.hpp"
 #include "src/testing/differential.hpp"
@@ -57,9 +60,8 @@ using namespace confmask;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
-               "usage: %s [--max-routers N] [--baseline-max N]"
-               " [--pipeline-max N] [--jobs N] [--families LIST]"
-               " [--out FILE]\n",
+               "usage: %s [--max-routers N] [--pipeline-max N] [--jobs N]"
+               " [--families LIST] [--out FILE]\n",
                argv0);
   std::exit(2);
 }
@@ -82,22 +84,24 @@ double min_time(int repetitions, Body&& body) {
   return best;
 }
 
-bool fibs_identical(const Simulation& fast, const BaselineSimulation& base) {
-  const Topology& topo = fast.topology();
-  for (int router = 0; router < topo.router_count(); ++router) {
-    for (const int host : topo.host_ids()) {
-      const auto lhs = fast.fib(router, host);
-      const auto& rhs = base.fib(router, host);
-      if (lhs.size() != rhs.size()) return false;
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        if (!(lhs[i] == rhs[i])) return false;
-      }
-    }
-  }
-  return true;
+/// Largest size the reference oracle is timed and compared at.
+constexpr int kReferenceMaxRouters = 3162;
+
+/// A JSON number with nine significant digits, so sub-microsecond timings
+/// keep theirs.
+std::string json_number(double value) {
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, "%.9g", value);
+  return buffer;
 }
 
-std::string json_number(double value) { return std::to_string(value); }
+/// One table cell: `value` printed with `format`, or "--" when absent.
+std::string cell(double value, const char* format = "%.4f") {
+  if (value < 0) return "--";
+  char buffer[32];
+  std::snprintf(buffer, sizeof buffer, format, value);
+  return buffer;
+}
 
 /// This process's peak resident set (VmHWM) in MB, -1 if unavailable.
 /// Unlike getrusage/wait4's ru_maxrss, which a fork+exec child inherits
@@ -140,8 +144,8 @@ ConfigSet point_network(ScaleFamily family, int routers) {
 }
 
 /// Child side of a pipeline point: best-of-`repetitions` pipeline wall time
-/// with the phase spans of the fastest run, and the (seeded, so
-/// repeatable) verdict. Prints one line:
+/// with the spans of the fastest run (every path, child spans included),
+/// and the (seeded, so repeatable) verdict. Prints one line:
 /// `<verified 0|1> <category|-> <seconds> <peak RSS MB> <phases JSON>`.
 int run_pipeline_point(const char* family_name, int routers,
                        int repetitions) {
@@ -176,7 +180,6 @@ int run_pipeline_point(const char* family_name, int routers,
       phases = "{";
       bool first_phase = true;
       for (const auto& span : trace.metrics()) {
-        if (span.path.find('/') != std::string::npos) continue;
         phases += std::string(first_phase ? "" : ", ") + "\"" + span.path +
                   "\": " +
                   json_number(static_cast<double>(span.total_ns) * 1e-9);
@@ -276,7 +279,6 @@ PipelinePoint measure_pipeline_point(const char* family_name, int routers,
 
 int main(int argc, char** argv) {
   int max_routers = 10000;
-  int baseline_max = 3162;
   int pipeline_max = 316;
   unsigned jobs = 0;
   std::string out_path = "BENCH_scale.json";
@@ -295,8 +297,6 @@ int main(int argc, char** argv) {
     };
     if (arg == "--max-routers") {
       max_routers = std::atoi(value());
-    } else if (arg == "--baseline-max") {
-      baseline_max = std::atoi(value());
     } else if (arg == "--pipeline-max") {
       pipeline_max = std::atoi(value());
     } else if (arg == "--jobs") {
@@ -332,29 +332,31 @@ int main(int argc, char** argv) {
 
   const int sizes[] = {100, 316, 1000, 3162, 10000};
 
-  bench::header("Simulation core scale sweep (flat CSR/SoA vs pre-refactor)",
-                "fresh simulation >=2x over the old engine at 10^3 routers, "
-                "bit-identical FIBs");
+  bench::header("Simulation core scale sweep (flat CSR/SoA vs reference "
+                "oracle)",
+                "fresh simulation against the serial oracle, FIBs matching "
+                "entry for entry");
   std::printf("jobs=%u hardware_concurrency=%u max_routers=%d "
-              "baseline_max=%d pipeline_max=%d\n\n",
+              "reference_max=%d pipeline_max=%d\n\n",
               ThreadPool::shared().workers(),
-              std::thread::hardware_concurrency(), max_routers, baseline_max,
-              pipeline_max);
-  std::printf("%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %7s | "
+              std::thread::hardware_concurrency(), max_routers,
+              kReferenceMaxRouters, pipeline_max);
+  std::printf("%-12s %6s %6s %6s | %8s %8s %8s | %7s %5s | %8s %8s %8s | "
               "%8s %7s %s\n",
               "family", "R", "hosts", "links", "topo (s)", "flat (s)",
-              "base (s)", "speedup", "fib=", "inc (s)", "full (s)",
-              "inc/fl", "pipe (s)", "rss MB", "verdict");
+              "ref (s)", "ref/fl", "fib=", "inc (s)", "full (s)",
+              "full/inc", "pipe (s)", "rss MB", "verdict");
 
-  bool all_fibs_identical = true;
+  bool all_fibs_match = true;
   bool all_points_ran = true;
   std::string json =
-      std::string("{\n  \"schema\": \"confmask.bench-scale/2\",\n") +
+      std::string("{\n  \"schema\": \"confmask.bench-scale/3\",\n") +
       "  \"jobs\": " + std::to_string(ThreadPool::shared().workers()) +
       ",\n  \"hardware_concurrency\": " +
       std::to_string(std::thread::hardware_concurrency()) +
       ",\n  \"max_routers\": " + std::to_string(max_routers) +
-      ",\n  \"baseline_max_routers\": " + std::to_string(baseline_max) +
+      ",\n  \"reference_max_routers\": " +
+      std::to_string(kReferenceMaxRouters) +
       ",\n  \"pipeline_max_routers\": " + std::to_string(pipeline_max) +
       ",\n  \"sweep\": [";
   bool first = true;
@@ -379,18 +381,20 @@ int main(int argc, char** argv) {
           min_time(repetitions, [&] { Simulation sim(configs); });
       const Simulation sim(configs);
 
-      // The frozen pre-refactor engine — the ≥2× acceptance gate. Skipped
-      // above --baseline-max (eager R×R matrix, O(R²) memory).
-      double base_s = -1.0;
-      bool fib_ok = true;
-      bool baseline_ran = false;
-      if (routers <= baseline_max) {
-        base_s = min_time(repetitions,
-                          [&] { BaselineSimulation baseline(configs); });
-        const BaselineSimulation baseline(configs);
-        fib_ok = fibs_identical(sim, baseline);
-        all_fibs_identical = all_fibs_identical && fib_ok;
-        baseline_ran = true;
+      // The serial reference oracle on the same network: the speed
+      // denominator and the FIB check.
+      double ref_s = -1.0;
+      std::string fib_mismatch;
+      const bool reference_ran = routers <= kReferenceMaxRouters;
+      if (reference_ran) {
+        ref_s = min_time(repetitions,
+                         [&] { ReferenceSimulation ref(configs); });
+        fib_mismatch = first_fib_mismatch(sim, ReferenceSimulation(configs));
+        if (!fib_mismatch.empty()) {
+          std::fprintf(stderr, "%s R=%d: FIB mismatch: %s\n", spec.name,
+                       routers, fib_mismatch.c_str());
+          all_fibs_match = false;
+        }
       }
 
       // Incremental vs full re-simulation after one route-filter edit.
@@ -414,8 +418,8 @@ int main(int argc, char** argv) {
         full_s = min_time(repetitions, [&] { Simulation fresh(edited); });
       }
 
-      // Full pipeline with per-phase span metrics, on affordable sizes, in
-      // a child process so its peak RSS is its own.
+      // Full pipeline with per-span metrics, on affordable sizes, in a
+      // child process so its peak RSS is its own.
       PipelinePoint pipeline;
       if (routers <= pipeline_max) {
         pipeline = measure_pipeline_point(spec.name, routers, repetitions);
@@ -429,35 +433,29 @@ int main(int argc, char** argv) {
                     spec.name, routers, pipeline_max);
       }
 
-      const double speedup = baseline_ran ? base_s / flat_s : -1.0;
+      const double speedup = reference_ran ? ref_s / flat_s : -1.0;
       const std::string verdict =
           !pipeline.ok ? "--"
           : pipeline.verified ? "verified"
                               : "refused:" + pipeline.category;
       std::printf(
-          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %7s | "
+          "%-12s %6d %6d %6zu | %8.4f %8.4f %8s | %7s %5s | %8s %8s %8s | "
           "%8s %7s %s\n",
           spec.name, routers, hosts, links, topo_s, flat_s,
-          baseline_ran ? json_number(base_s).substr(0, 8).c_str() : "--",
-          baseline_ran ? (json_number(speedup).substr(0, 6) + "x").c_str()
-                       : "--",
-          baseline_ran ? (fib_ok ? "ok" : "FAIL") : "--",
-          incremental_s >= 0 ? json_number(incremental_s).substr(0, 8).c_str()
-                             : "--",
-          full_s >= 0 ? json_number(full_s).substr(0, 8).c_str() : "--",
-          (incremental_s > 0 && full_s > 0)
-              ? (json_number(full_s / incremental_s).substr(0, 5) + "x")
-                    .c_str()
-              : "--",
-          pipeline.ok ? json_number(pipeline.seconds).substr(0, 8).c_str()
-                      : "--",
-          pipeline.ok ? json_number(pipeline.peak_rss_mb).substr(0, 7).c_str()
-                      : "--",
+          cell(ref_s).c_str(), cell(speedup, "%.2fx").c_str(),
+          !reference_ran ? "--" : fib_mismatch.empty() ? "ok" : "FAIL",
+          cell(incremental_s, "%.6f").c_str(), cell(full_s).c_str(),
+          cell(incremental_s > 0 && full_s > 0 ? full_s / incremental_s
+                                               : -1.0,
+               "%.0fx")
+              .c_str(),
+          cell(pipeline.ok ? pipeline.seconds : -1.0, "%.3f").c_str(),
+          cell(pipeline.ok ? pipeline.peak_rss_mb : -1.0, "%.0f").c_str(),
           verdict.c_str());
       bench::csv("scale," + std::string(spec.name) + "," +
                  std::to_string(routers) + "," + json_number(flat_s) + "," +
-                 (baseline_ran ? json_number(base_s) : "") + "," +
-                 (baseline_ran ? json_number(speedup) : ""));
+                 (reference_ran ? json_number(ref_s) : "") + "," +
+                 (reference_ran ? json_number(speedup) : ""));
 
       json += std::string(first ? "" : ",") + "\n    {\"family\": \"" +
               spec.name + "\", \"routers\": " + std::to_string(routers) +
@@ -466,12 +464,13 @@ int main(int argc, char** argv) {
               ", \"repetitions\": " + std::to_string(repetitions) +
               ", \"topology_build_s\": " + json_number(topo_s) +
               ", \"fresh_sim_s\": " + json_number(flat_s) +
-              ", \"baseline_sim_s\": " +
-              (baseline_ran ? json_number(base_s) : "null") +
-              ", \"speedup_vs_baseline\": " +
-              (baseline_ran ? json_number(speedup) : "null") +
-              ", \"fib_identical\": " +
-              (baseline_ran ? (fib_ok ? "true" : "false") : "null") +
+              ", \"reference_sim_s\": " +
+              (reference_ran ? json_number(ref_s) : "null") +
+              ", \"speedup_vs_reference\": " +
+              (reference_ran ? json_number(speedup) : "null") +
+              ", \"fib_matches_reference\": " +
+              (reference_ran ? (fib_mismatch.empty() ? "true" : "false")
+                             : "null") +
               ", \"incremental_sim_s\": " +
               (incremental_s >= 0 ? json_number(incremental_s) : "null") +
               ", \"full_resim_s\": " +
@@ -501,10 +500,10 @@ int main(int argc, char** argv) {
   std::fwrite(json.data(), 1, json.size(), out);
   std::fclose(out);
   std::printf("\nwrote %s\n", out_path.c_str());
-  if (!all_fibs_identical) {
+  if (!all_fibs_match) {
     std::fprintf(stderr,
-                 "FIB MISMATCH: flat engine diverged from the pre-refactor "
-                 "baseline\n");
+                 "FIB MISMATCH: flat engine diverged from the reference "
+                 "oracle (see above)\n");
     return 1;
   }
   if (!all_points_ran) {

@@ -106,10 +106,8 @@ void add_random_filters(ConfigSet& configs, const Topology& topo, Rng& rng,
   }
 }
 
-/// First FIB mismatch between the engines as human-readable text, or empty
-/// when every (router, destination) column agrees. Stricter than comparing
-/// extracted data planes: it also covers black-holed and loop-forming
-/// entries that never become a complete path.
+}  // namespace
+
 std::string first_fib_mismatch(const Simulation& fast,
                                const ReferenceSimulation& ref) {
   const Topology& topo = fast.topology();
@@ -140,7 +138,10 @@ std::string first_fib_mismatch(const Simulation& fast,
   return {};
 }
 
-std::string first_fib_mismatch(const Simulation& lhs, const Simulation& rhs) {
+namespace {
+
+std::string first_incremental_mismatch(const Simulation& lhs,
+                                       const Simulation& rhs) {
   const Topology& topo = lhs.topology();
   for (int router = 0; router < topo.router_count(); ++router) {
     for (const int host : topo.host_ids()) {
@@ -440,7 +441,7 @@ DifferentialResult run_differential_checks(const ConfigSet& configs,
               0 &&
           !incremental.flat().routers_with_statics().empty();
       const Simulation fresh(edited);
-      if (auto mismatch = first_fib_mismatch(incremental, fresh);
+      if (auto mismatch = first_incremental_mismatch(incremental, fresh);
           !mismatch.empty()) {
         fail("incremental", std::move(mismatch), {}, edited);
         return result;

@@ -28,6 +28,17 @@
 
 namespace confmask {
 
+class ReferenceSimulation;
+class Simulation;
+
+/// First FIB mismatch between the fast engine and the oracle as
+/// human-readable text, or empty when every (router, destination) column
+/// agrees entry for entry and in order. Stricter than comparing extracted
+/// data planes: it also covers black-holed and loop-forming entries that
+/// never become a complete path.
+[[nodiscard]] std::string first_fib_mismatch(const Simulation& fast,
+                                             const ReferenceSimulation& ref);
+
 struct DifferentialOptions {
   RandomNetworkOptions network;  ///< topology / protocol-mix knobs
   int max_route_filters = 4;     ///< random pre-decoration filters

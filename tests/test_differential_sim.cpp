@@ -1,8 +1,8 @@
 // Differential tests: the fast simulation engine against the independent
 // reference oracle (src/routing/reference_sim) — on the curated paper
-// networks, on a seeded random corpus, and on the repro-minimization
-// machinery itself. See DESIGN.md §10 for the modeling rules the two
-// engines share by contract.
+// networks, on scale-family networks, on a seeded random corpus, and on
+// the repro-minimization machinery itself. See DESIGN.md §10 for the
+// modeling rules the two engines share by contract.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,6 @@
 #include "src/routing/dataplane.hpp"
 #include "src/routing/reference_sim.hpp"
 #include "src/routing/simulation.hpp"
-#include "src/routing/topology.hpp"
 #include "src/testing/differential.hpp"
 
 namespace confmask {
@@ -25,24 +24,8 @@ namespace {
 void expect_oracle_agrees(const ConfigSet& configs, const std::string& label) {
   const Simulation fast(configs);
   const ReferenceSimulation ref(configs);
-  const Topology& topo = fast.topology();
-  for (int router = 0; router < topo.router_count(); ++router) {
-    for (const int host : topo.host_ids()) {
-      const auto& lhs = fast.fib(router, host);
-      const auto& rhs = ref.fib(router, host);
-      ASSERT_EQ(lhs.size(), rhs.size())
-          << label << ": " << topo.node(router).name << " -> "
-          << topo.node(host).name;
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        EXPECT_EQ(lhs[i].link, rhs[i].link)
-            << label << ": " << topo.node(router).name << " -> "
-            << topo.node(host).name << " hop " << i;
-        EXPECT_EQ(lhs[i].neighbor, rhs[i].neighbor)
-            << label << ": " << topo.node(router).name << " -> "
-            << topo.node(host).name << " hop " << i;
-      }
-    }
-  }
+  const std::string mismatch = first_fib_mismatch(fast, ref);
+  ASSERT_TRUE(mismatch.empty()) << label << ": " << mismatch;
   const DataPlane ref_dp = ref.extract_data_plane();
   ASSERT_FALSE(ref.last_extraction_truncated()) << label;
   const auto diff = fast.extract_data_plane().diff(ref_dp, 4);
@@ -62,6 +45,17 @@ TEST(DifferentialOracle, AgreesOnAllEvaluationNetworks) {
   for (const auto& net : evaluation_networks()) {
     expect_oracle_agrees(net.configs, net.id + " (" + net.name + ")");
   }
+}
+
+// Undecorated scale networks, larger than any curated one: OSPF at 500
+// routers, RIP at 200, and eBGP hot-potato across AS blocks at 300.
+TEST(DifferentialOracle, AgreesOnUndecoratedScaleNetworks) {
+  expect_oracle_agrees(make_scale_network(ScaleFamily::kWaxman, 500, 21),
+                       "waxman-ospf-500");
+  expect_oracle_agrees(make_scale_network(ScaleFamily::kWaxmanRip, 200, 22),
+                       "waxman-rip-200");
+  expect_oracle_agrees(make_scale_network(ScaleFamily::kMultiAs, 300, 23),
+                       "multi-as-300");
 }
 
 // A deterministic slice of the fuzz corpus: every seed runs the full check
@@ -85,22 +79,24 @@ TEST(DifferentialOracle, RandomCorpusAgrees) {
   EXPECT_GT(per_router_with_statics, 0);
 }
 
-// The scale families at 500 routers, decorated, through the same ladder:
+// Every scale family at 500 routers, decorated, through the same ladder
+// (seed i picks family i%4, as `fuzz_differential --scale` does):
 // flat ≡ oracle on the FIBs and data plane, incremental ≡ full after
 // random filter edits, jobs-1 ≡ jobs-N. This is where the CSR/SoA core's
 // layout tricks (interned filter slots, column arenas, lazy IGP rows)
 // face networks three times deeper than the curated set.
 TEST(DifferentialOracle, ScaleFamilyCorpusAgrees) {
   constexpr ScaleFamily kFamilies[] = {
-      ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs};
+      ScaleFamily::kWaxman, ScaleFamily::kWaxmanRip, ScaleFamily::kMultiAs,
+      ScaleFamily::kPreferentialAttachment};
   DifferentialOptions options;  // empty repro_dir: tests write no artifacts
-  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-    ConfigSet configs = make_scale_network(kFamilies[seed % 3], 500, seed);
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    ConfigSet configs = make_scale_network(kFamilies[seed % 4], 500, seed);
     decorate_scale_network(configs, seed);
     const DifferentialResult result =
         run_differential_checks(configs, seed, options);
     EXPECT_TRUE(result.ok)
-        << "seed " << seed << " (" << scale_family_name(kFamilies[seed % 3])
+        << "seed " << seed << " (" << scale_family_name(kFamilies[seed % 4])
         << "): "
         << (result.finding
                 ? result.finding->check + " — " + result.finding->detail

@@ -1,46 +1,15 @@
-// FlatTopology CSR/SoA invariants, and the golden-FIB gate: the flat
-// engine must be BIT-IDENTICAL to the frozen pre-refactor engine
-// (BaselineSimulation) on every network family, curated and generated.
+// FlatTopology CSR/SoA invariants. The flat engine's FIBs are checked
+// against the reference oracle in tests/test_differential_sim.cpp.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <string>
 
-#include "src/netgen/networks.hpp"
 #include "src/netgen/scale_families.hpp"
-#include "src/routing/baseline_sim.hpp"
 #include "src/routing/flat_topology.hpp"
-#include "src/routing/simulation.hpp"
 #include "src/routing/topology.hpp"
 
 namespace confmask {
 namespace {
-
-/// Every (router, host) FIB column of the flat engine equals the frozen
-/// pre-refactor engine's, entry for entry and in order.
-void expect_fibs_identical(const ConfigSet& configs,
-                           const std::string& label) {
-  const Simulation fast(configs);
-  const BaselineSimulation baseline(configs);
-  const Topology& topo = fast.topology();
-  ASSERT_EQ(topo.node_count(), baseline.topology().node_count()) << label;
-  for (int router = 0; router < topo.router_count(); ++router) {
-    for (const int host : topo.host_ids()) {
-      const auto lhs = fast.fib(router, host);
-      const auto& rhs = baseline.fib(router, host);
-      ASSERT_EQ(lhs.size(), rhs.size())
-          << label << ": " << topo.node(router).name << " -> "
-          << topo.node(host).name;
-      for (std::size_t i = 0; i < lhs.size(); ++i) {
-        ASSERT_TRUE(lhs[i] == rhs[i])
-            << label << ": " << topo.node(router).name << " -> "
-            << topo.node(host).name << " hop " << i << ": flat ("
-            << lhs[i].link << "," << lhs[i].neighbor << ") baseline ("
-            << rhs[i].link << "," << rhs[i].neighbor << ")";
-      }
-    }
-  }
-}
 
 // The CSR half-edge arrays must mirror Topology::links_of exactly — FIB
 // push order (and therefore every golden artifact byte) rides on it.
@@ -101,21 +70,6 @@ TEST(FlatTopology, MultiAsSessionAndBorderIndex) {
     EXPECT_GE(flat.as_index(border), 0);
     EXPECT_LT(flat.as_index(border), flat.as_count());
   }
-}
-
-TEST(FlatVsBaseline, IdenticalOnEvaluationNetworks) {
-  for (const auto& net : evaluation_networks()) {
-    expect_fibs_identical(net.configs, net.id + " (" + net.name + ")");
-  }
-}
-
-TEST(FlatVsBaseline, IdenticalOnScaleFamilies) {
-  expect_fibs_identical(make_scale_network(ScaleFamily::kWaxman, 500, 21),
-                        "waxman-ospf-500");
-  expect_fibs_identical(make_scale_network(ScaleFamily::kWaxmanRip, 200, 22),
-                        "waxman-rip-200");
-  expect_fibs_identical(make_scale_network(ScaleFamily::kMultiAs, 300, 23),
-                        "multi-as-300");
 }
 
 }  // namespace
